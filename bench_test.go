@@ -601,19 +601,12 @@ func BenchmarkChipThroughput(b *testing.B) {
 	ch.RunCycles(uint64(b.N))
 }
 
-// BenchmarkSingleCoreChipTick measures one single-core chip cycle.
+// BenchmarkSingleCoreChipTick measures one single-core chip cycle. It is
+// also the windowed sampler's disabled path: with no sampler attached
+// each cycle pays one nil check for it, so this is the baseline
+// BenchmarkTimeseriesAttached is compared with (benchstat, after any
+// change to the Tick tail).
 func BenchmarkSingleCoreChipTick(b *testing.B) {
-	ch := chip.New(chip.SingleCore("403.gcc"))
-	b.ResetTimer()
-	ch.RunCycles(uint64(b.N))
-}
-
-// BenchmarkTimeseriesOffPath is the windowed sampler's disabled fast
-// path: no sampler attached, so each chip cycle pays exactly one nil
-// check over the serial baseline (BenchmarkSingleCoreChipTick). The two
-// must stay within 1% of each other — compare with benchstat after any
-// change to the Tick tail.
-func BenchmarkTimeseriesOffPath(b *testing.B) {
 	ch := chip.New(chip.SingleCore("403.gcc"))
 	b.ResetTimer()
 	ch.RunCycles(uint64(b.N))

@@ -28,8 +28,11 @@
 // telemetry probes, serve scrape as fractions, 0.01 = 1%), and the
 // fleet's crash-recovery latency (fleet_recover_seconds — coordinator
 // kill to first post-resume granule completion through the journal
-// replay path). The overheads are trend lines; fleet_recover_seconds
-// joins the engine speedups under the -check gate.
+// replay path) and the trace arena's replay speedup
+// (trace_replay_speedup — live synthetic generation over replay from
+// the process arena, per instruction, across the built-in profiles).
+// The overheads are trend lines; fleet_recover_seconds and
+// trace_replay_speedup join the engine speedups under the -check gate.
 package main
 
 import (
@@ -114,6 +117,11 @@ type Document struct {
 	// serve_scrape (one fleet scrape against a 1 Hz scrape cadence).
 	// Trend lines, not gated.
 	Overhead map[string]float64 `json:"instrumentation_overhead,omitempty"`
+	// TraceReplaySpeedup is live ns/instr over replay ns/instr: the
+	// built-in profiles' streams drawn from trace.NewSynthetic and from
+	// trace.Open cursors replaying recordings, best of reps. A ratio
+	// of two rates on the same host, so gated like the engine speedups.
+	TraceReplaySpeedup float64 `json:"trace_replay_speedup,omitempty"`
 }
 
 // errRegression signals a clean run that found a regression.
@@ -168,6 +176,9 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	if err := measureFleetRecover(ctx, doc, *reps); err != nil {
 		return err
 	}
+	if err := measureTraceReplay(ctx, doc, *reps); err != nil {
+		return err
+	}
 	p := cliutil.NewPrinter(stdout)
 	p.Printf("lpmbench: %s on %s/%s (%d cpus), %d cycles x %d reps\n",
 		benchWorkload, doc.OS, doc.Arch, doc.CPUs, doc.Cycles, doc.Reps)
@@ -182,6 +193,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	}
 	p.Printf("  %-21s %12.6f sec/scrape\n", "serve_fleet_metrics", doc.ServeScrapeSeconds)
 	p.Printf("  %-21s %12.6f sec/recover\n", "fleet_recover", doc.FleetRecoverSeconds)
+	p.Printf("  %-21s %12.2fx live/replay per instruction\n", "trace_replay", doc.TraceReplaySpeedup)
 	if doc.Overhead != nil {
 		p.Printf("  overhead: sampler_publish %.4f%%, fabric_telemetry %.4f%%, serve_scrape %.4f%%\n",
 			100*doc.Overhead["sampler_publish"], 100*doc.Overhead["fabric_telemetry"],
@@ -501,6 +513,51 @@ func measureOverhead(ctx context.Context, doc *Document, reps int) error {
 	return nil
 }
 
+// replayInstrs is how much of each built-in stream the trace replay
+// measurement draws; all of it fits the process arena.
+const replayInstrs = 100_000
+
+// measureTraceReplay times each built-in profile's first replayInstrs
+// instructions drawn live and replayed from the process trace arena
+// (recorded by a first, untimed pass), and pins the ratio of the
+// best-of-reps totals.
+func measureTraceReplay(ctx context.Context, doc *Document, reps int) error {
+	var sink uint64
+	drain := func(g trace.Generator) time.Duration {
+		start := time.Now()
+		for i := 0; i < replayInstrs; i++ {
+			sink += g.Next().Addr
+		}
+		return time.Since(start)
+	}
+	bestLive, bestReplay := math.Inf(1), math.Inf(1)
+	for r := 0; r < reps; r++ {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		var live, replay time.Duration
+		for _, name := range trace.ProfileNames() {
+			prof := trace.MustProfile(name)
+			live += drain(trace.NewSynthetic(prof))
+			c := trace.Open(prof)
+			drain(c)
+			c.Reset()
+			replay += drain(c)
+			c.Release()
+		}
+		bestLive = math.Min(bestLive, live.Seconds())
+		bestReplay = math.Min(bestReplay, replay.Seconds())
+	}
+	if st := trace.ProcessArenaStats(); st.Seals > 0 {
+		return fmt.Errorf("lpmbench trace replay: %d streams outgrew the arena (%+v)", st.Seals, st)
+	}
+	if sink == 0 {
+		return errors.New("lpmbench trace replay: empty streams")
+	}
+	doc.TraceReplaySpeedup = bestLive / bestReplay
+	return nil
+}
+
 // recoverKind is the trivial granule the recovery benchmark round-trips
 // through the fabric: the cost under measurement is the resume path,
 // not the executor.
@@ -673,6 +730,15 @@ func checkAgainst(path string, fresh *Document, stdout io.Writer) error {
 		}
 		p.Printf("check %-21s pinned %.2fx  fresh %.2fx  %s\n", k, pr, fr, verdict)
 	}
+	if pr := pinned.TraceReplaySpeedup; pr > 0 {
+		fr := fresh.TraceReplaySpeedup
+		verdict := "ok"
+		if fr < 0.8*pr {
+			verdict = "REGRESSION"
+			failed = true
+		}
+		p.Printf("check %-21s pinned %.2fx  fresh %.2fx  %s\n", "trace_replay", pr, fr, verdict)
+	}
 	// Recovery latency gates coarsely: absolute seconds vary machine to
 	// machine, so the gate only trips when a fresh recovery takes more
 	// than 3x the pinned time plus 250ms of scheduler slack — wide
@@ -691,7 +757,7 @@ func checkAgainst(path string, fresh *Document, stdout io.Writer) error {
 		return err
 	}
 	if failed {
-		return fmt.Errorf("%w: engine speedup or fleet recovery regressed against %s", errRegression, path)
+		return fmt.Errorf("%w: engine speedup, trace replay or fleet recovery regressed against %s", errRegression, path)
 	}
 	return nil
 }

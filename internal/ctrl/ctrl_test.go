@@ -17,7 +17,9 @@ import (
 
 	"lpm/internal/obs"
 	"lpm/internal/obs/timeseries"
+	"lpm/internal/parallel"
 	"lpm/internal/resilience/fleet"
+	"lpm/internal/trace"
 )
 
 // stubRunner publishes `windows` timeline windows, then blocks until
@@ -567,5 +569,64 @@ func TestHTTPAPI(t *testing.T) {
 		if !strings.Contains(fleet, want) {
 			t.Fatalf("fleet /metrics lacks %q:\n%s", want, fleet)
 		}
+	}
+}
+
+// TestFleetMetricsPublishArena scrapes the process trace arena's
+// counters from the fleet /metrics endpoint after a known sequence of
+// opens: one recording, one replay.
+func TestFleetMetricsPublishArena(t *testing.T) {
+	parallel.ResetAllMemos()
+	defer parallel.ResetAllMemos()
+	reg := NewRegistry(context.Background(), Config{Runner: &stubRunner{}})
+	defer reg.Drain()
+	srv := httptest.NewServer(NewAPIMux(reg))
+	defer srv.Close()
+	scrape := func() string {
+		t.Helper()
+		resp, err := http.Get(srv.URL + "/metrics")
+		if err != nil {
+			t.Fatalf("GET /metrics: %v", err)
+		}
+		defer resp.Body.Close()
+		var b strings.Builder
+		sc := bufio.NewScanner(resp.Body)
+		for sc.Scan() {
+			b.WriteString(sc.Text() + "\n")
+		}
+		return b.String()
+	}
+	if body := scrape(); !strings.Contains(body, "lpm_trace_arena_misses 0\n") {
+		t.Fatalf("cold arena not published:\n%s", body)
+	}
+	prof := trace.MustProfile("429.mcf")
+	for i := 0; i < 2; i++ {
+		c := trace.Open(prof)
+		for j := 0; j < 5000; j++ {
+			c.Next()
+		}
+		c.Release()
+	}
+	body := scrape()
+	for _, want := range []string{
+		"# TYPE lpm_trace_arena_hits counter",
+		"lpm_trace_arena_hits 1\n",
+		"lpm_trace_arena_misses 1\n",
+		"lpm_trace_arena_seals 0\n",
+		"lpm_trace_arena_evictions 0\n",
+		"# TYPE lpm_trace_arena_slab_bytes gauge",
+	} {
+		if !strings.Contains(body, want) {
+			t.Fatalf("fleet /metrics lacks %q:\n%s", want, body)
+		}
+	}
+	var slab float64
+	for _, line := range strings.Split(body, "\n") {
+		if v, ok := strings.CutPrefix(line, "lpm_trace_arena_slab_bytes "); ok {
+			fmt.Sscan(v, &slab)
+		}
+	}
+	if slab != trace.ArenaBytes {
+		t.Fatalf("slab gauge = %v, want %d", slab, trace.ArenaBytes)
 	}
 }

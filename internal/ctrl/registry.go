@@ -20,6 +20,7 @@ import (
 	"lpm/internal/obs/timeseries"
 	"lpm/internal/parallel"
 	"lpm/internal/resilience/fleet"
+	"lpm/internal/trace"
 )
 
 // Runner executes one run, publishing progress through pub. It returns
@@ -372,10 +373,12 @@ type runExpo struct {
 }
 
 // fleetSnapshots captures, under one lock acquisition, the control
-// plane's own snapshot and the identity of every run; per-run live
-// snapshots are then pulled outside g.mu (Live carries its own lock).
+// plane's own snapshot (with the trace arena's counters refreshed) and
+// the identity of every run; per-run live snapshots are then pulled
+// outside g.mu (Live carries its own lock).
 func (g *Registry) fleetSnapshots() (*obs.Snapshot, []runExpo) {
 	g.mu.Lock()
+	g.tel.SyncArena(trace.ProcessArenaStats())
 	ctrlSnap := g.obs.Snapshot()
 	rs := make([]runExpo, 0, len(g.order))
 	for _, id := range g.order {

@@ -9,6 +9,7 @@ package ctrl
 
 import (
 	"lpm/internal/obs"
+	"lpm/internal/trace"
 )
 
 // Telemetry is the control plane's probe set.
@@ -26,6 +27,13 @@ type Telemetry struct {
 	rejected  *obs.Counter
 	retried   *obs.Counter
 	sseDrops  *obs.Counter
+
+	// The process trace arena's counters, refreshed per scrape.
+	arenaHits      *obs.Counter
+	arenaMisses    *obs.Counter
+	arenaSeals     *obs.Counter
+	arenaEvictions *obs.Counter
+	arenaSlab      *obs.Gauge
 }
 
 // NewTelemetry wires the control-plane probes into reg; a nil registry
@@ -46,7 +54,26 @@ func NewTelemetry(reg *obs.Registry) *Telemetry {
 		rejected:  reg.Counter("ctrl.runs_rejected"),
 		retried:   reg.Counter("ctrl.runs_retried"),
 		sseDrops:  reg.Counter("ctrl.sse_events_dropped"),
+
+		arenaHits:      reg.Counter("trace.arena_hits"),
+		arenaMisses:    reg.Counter("trace.arena_misses"),
+		arenaSeals:     reg.Counter("trace.arena_seals"),
+		arenaEvictions: reg.Counter("trace.arena_evictions"),
+		arenaSlab:      reg.Gauge("trace.arena_slab_bytes"),
 	}
+}
+
+// SyncArena copies the process trace arena's counters into the
+// registry, so a scrape shows how well stream replay is working.
+func (t *Telemetry) SyncArena(st trace.ArenaStats) {
+	if t == nil {
+		return
+	}
+	t.arenaHits.Set(st.Hits)
+	t.arenaMisses.Set(st.Misses)
+	t.arenaSeals.Set(st.Seals)
+	t.arenaEvictions.Set(st.Evictions)
+	t.arenaSlab.Set(float64(st.SlabBytes))
 }
 
 // Retried counts a transient run failure re-executed under the retry

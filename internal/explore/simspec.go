@@ -48,17 +48,24 @@ func (s SimSpec) MemoKey() string {
 		s.Observe, s.Timeline, s.TimelineWindow, s.WarmupFast)
 }
 
-// RunSimSpec runs the cycle-level simulation the spec describes. It is
-// the pure function behind both the explore.sim memo and the fabric's
-// SimKind granule: it builds a fresh generator and chip per call and
-// touches no shared state, so concurrent calls are safe and results are
-// deterministic for a given spec.
+// RunSimSpec runs the cycle-level simulation the spec describes, behind
+// the explore.sim memo. Its generator replays the profile's stream from
+// the process trace arena, recording it on first use; the stream is
+// identical to a live one, so the result is a deterministic function of
+// the spec and concurrent calls are safe.
 func RunSimSpec(ctx context.Context, s SimSpec) (core.Measurement, error) {
+	gen := trace.Open(s.Profile)
+	defer gen.Release()
+	return runSim(ctx, s, gen)
+}
+
+// runSim runs the spec's simulation on gen, a fresh generator for
+// s.Profile, and a fresh chip.
+func runSim(ctx context.Context, s SimSpec, gen trace.Generator) (core.Measurement, error) {
 	budget := s.WatchdogCycles
 	if budget == 0 {
 		budget = DefaultWatchdogCycles
 	}
-	gen := trace.NewSynthetic(s.Profile)
 	cfg := ChipConfig(s.Point, gen)
 	cpiExe := chip.MeasureCPIexe(cfg.Cores[0].CPU, gen, uint64(cfg.Cores[0].L1.HitLatency), s.Instructions)
 	ch := chip.New(cfg)
@@ -92,16 +99,19 @@ func RunSimSpec(ctx context.Context, s SimSpec) (core.Measurement, error) {
 	return ch.Measure(0, cpiExe), nil
 }
 
-// The granule executor: workers decode the spec and call the same pure
-// function the in-process path uses — there is exactly one simulation
-// code path whether a run is serial, parallel, or sharded.
+// The granule executor: workers decode the spec and run the same
+// simulation code the in-process path runs — one simulation code path
+// whether a run is serial, parallel, or sharded. Only the generator
+// differs: handlers generate the stream live, with no process state a
+// granule's result could depend on, while RunSimSpec replays it from the
+// trace arena. The two streams are identical.
 func init() {
 	fabric.RegisterKind(SimKind, func(ctx context.Context, raw json.RawMessage) (json.RawMessage, error) {
 		var s SimSpec
 		if err := json.Unmarshal(raw, &s); err != nil {
 			return nil, fmt.Errorf("explore: decode %s spec: %w", SimKind, err)
 		}
-		m, err := RunSimSpec(ctx, s)
+		m, err := runSim(ctx, s, trace.NewSynthetic(s.Profile))
 		if err != nil {
 			return nil, err
 		}

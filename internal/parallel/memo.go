@@ -177,18 +177,32 @@ func (m *Memo[V]) Reset() {
 type resettable interface{ Reset() }
 
 var registry struct {
-	mu    sync.Mutex
-	memos []resettable
+	mu     sync.Mutex
+	memos  []resettable
+	caches []resettable
 }
 
-// ResetAllMemos clears every Memo created through NewMemo — the
-// serial-vs-parallel determinism tests use it to force real
-// re-simulation between runs.
+// RegisterCache adds a process-wide cache that ResetAllMemos clears
+// along with the memos. It joins neither MemoStats nor ExportMemos: its
+// contents and counters are its own.
+func RegisterCache(c interface{ Reset() }) {
+	registry.mu.Lock()
+	defer registry.mu.Unlock()
+	registry.caches = append(registry.caches, c)
+}
+
+// ResetAllMemos clears every Memo created through NewMemo and every
+// cache added with RegisterCache — the serial-vs-parallel determinism
+// tests use it to force real re-simulation between runs, from the same
+// cold state a fresh process starts in.
 func ResetAllMemos() {
 	registry.mu.Lock()
 	defer registry.mu.Unlock()
 	for _, m := range registry.memos {
 		m.Reset()
+	}
+	for _, c := range registry.caches {
+		c.Reset()
 	}
 }
 

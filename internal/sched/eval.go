@@ -130,7 +130,9 @@ func Evaluate(ctx context.Context, s Scheduler, workloads []string, groupSizes [
 		if err != nil {
 			return nil, err
 		}
-		gens[core] = trace.NewSynthetic(prof)
+		c := trace.Open(prof)
+		defer c.Release()
+		gens[core] = c
 	}
 	cfg := nucaConfig(gens, groupSizes)
 	ch := chip.New(cfg)

@@ -2,9 +2,11 @@ package sched
 
 // Portable specs for the two memoised profiling simulations, mirroring
 // explore.SimSpec: each carries every input its run depends on in
-// exported JSON-safe fields, and each Run* function is a pure function
-// of the spec, shared verbatim between the in-process memo path and the
-// sweep fabric's granule executors.
+// exported JSON-safe fields, and each run is a pure function of the
+// spec. The in-process memo path (the exported Run* functions) and the
+// sweep fabric's granule executors share one simulation code path and
+// differ only in the generator: handlers generate the stream live, the
+// Run* functions replay the identical stream from the trace arena.
 
 import (
 	"context"
@@ -42,8 +44,15 @@ func (s ProfileSpec) MemoKey() string {
 
 // RunProfileSpec measures (APC1, APC2, IPC) for the spec's workload.
 func RunProfileSpec(ctx context.Context, s ProfileSpec) ([3]float64, error) {
+	gen := trace.Open(s.Profile)
+	defer gen.Release()
+	return runProfile(ctx, s, gen)
+}
+
+// runProfile is RunProfileSpec on gen, a fresh generator for s.Profile.
+func runProfile(ctx context.Context, s ProfileSpec, gen trace.Generator) ([3]float64, error) {
 	opt := s.Opt.normalise()
-	cfg := chip.NUCASingle(trace.NewSynthetic(s.Profile), s.L1Size)
+	cfg := chip.NUCASingle(gen, s.L1Size)
 	ch := chip.New(cfg)
 	ch.SetContext(ctx)
 	runTarget := opt.Warmup + opt.Instructions
@@ -83,7 +92,14 @@ func (s AloneSpec) MemoKey() string {
 
 // RunAloneSpec measures the spec's standalone IPC.
 func RunAloneSpec(ctx context.Context, s AloneSpec) (float64, error) {
-	ch := chip.New(chip.NUCASingle(trace.NewSynthetic(s.Profile), s.RefL1))
+	gen := trace.Open(s.Profile)
+	defer gen.Release()
+	return runAlone(ctx, s, gen)
+}
+
+// runAlone is RunAloneSpec on gen, a fresh generator for s.Profile.
+func runAlone(ctx context.Context, s AloneSpec, gen trace.Generator) (float64, error) {
+	ch := chip.New(chip.NUCASingle(gen, s.RefL1))
 	ch.SetContext(ctx)
 	warmChip(ch, EvalOptions{
 		WindowCycles: s.WindowCycles,
@@ -104,7 +120,7 @@ func init() {
 		if err := json.Unmarshal(raw, &s); err != nil {
 			return nil, fmt.Errorf("sched: decode %s spec: %w", ProfileKind, err)
 		}
-		r, err := RunProfileSpec(ctx, s)
+		r, err := runProfile(ctx, s, trace.NewSynthetic(s.Profile))
 		if err != nil {
 			return nil, err
 		}
@@ -115,7 +131,7 @@ func init() {
 		if err := json.Unmarshal(raw, &s); err != nil {
 			return nil, fmt.Errorf("sched: decode %s spec: %w", AloneKind, err)
 		}
-		r, err := RunAloneSpec(ctx, s)
+		r, err := runAlone(ctx, s, trace.NewSynthetic(s.Profile))
 		if err != nil {
 			return nil, err
 		}

@@ -14,11 +14,49 @@ import (
 //	name    uvarint length + bytes
 //	records: one per instruction
 //	  tag     byte: low 2 bits = Kind, bit 2 = has Dep, bit 3 = has Lat>1
-//	  addr    uvarint (memory instructions only, delta-encoded vs previous)
+//	  addr    zig-zag varint (memory instructions only, delta vs previous)
 //	  dep     uvarint (if present)
 //	  lat     uvarint (if present)
 //
 // The format is self-delimiting; a Reader yields io.EOF at end of stream.
+// The process Arena packs the same records into memory chunks.
+
+// Record tag bits.
+const (
+	tagKind = 0x3    // the Kind
+	tagDep  = 1 << 2 // a dep varint follows
+	tagLat  = 1 << 3 // a lat varint follows
+)
+
+// maxRecord bounds one encoded record: the tag, a 64-bit address delta,
+// a uint32 dep and a uint8 lat.
+const maxRecord = 1 + binary.MaxVarintLen64 + binary.MaxVarintLen32 + 2
+
+// putRecord encodes in into dst, which must hold maxRecord bytes, with a
+// memory address delta-encoded against prevAddr, and returns the number
+// of bytes written.
+func putRecord(dst []byte, in Instr, prevAddr uint64) int {
+	tag := byte(in.Kind) & tagKind
+	if in.Dep != 0 {
+		tag |= tagDep
+	}
+	if in.Lat > 1 {
+		tag |= tagLat
+	}
+	dst[0] = tag
+	n := 1
+	if in.Kind.IsMem() {
+		// Zig-zag delta encoding keeps sequential streams tiny.
+		n += binary.PutVarint(dst[n:], int64(in.Addr)-int64(prevAddr))
+	}
+	if in.Dep != 0 {
+		n += binary.PutUvarint(dst[n:], uint64(in.Dep))
+	}
+	if in.Lat > 1 {
+		n += binary.PutUvarint(dst[n:], uint64(in.Lat))
+	}
+	return n
+}
 
 var traceMagic = [8]byte{'L', 'P', 'M', 'T', 'R', 'C', '0', '1'}
 
@@ -30,7 +68,7 @@ var ErrBadTrace = errors.New("trace: malformed trace stream")
 type Writer struct {
 	w        *bufio.Writer
 	prevAddr uint64
-	buf      []byte
+	buf      [maxRecord]byte
 	count    uint64
 }
 
@@ -49,34 +87,17 @@ func NewWriter(w io.Writer, name string) (*Writer, error) {
 	if _, err := bw.WriteString(name); err != nil {
 		return nil, err
 	}
-	return &Writer{w: bw, buf: make([]byte, 0, 4*binary.MaxVarintLen64)}, nil
+	return &Writer{w: bw}, nil
 }
 
 // Write appends one instruction to the trace.
 func (tw *Writer) Write(in Instr) error {
-	tag := byte(in.Kind) & 0x3
-	if in.Dep != 0 {
-		tag |= 1 << 2
-	}
-	if in.Lat > 1 {
-		tag |= 1 << 3
-	}
-	tw.buf = tw.buf[:0]
-	tw.buf = append(tw.buf, tag)
+	n := putRecord(tw.buf[:], in, tw.prevAddr)
 	if in.Kind.IsMem() {
-		// Zig-zag delta encoding keeps sequential streams tiny.
-		delta := int64(in.Addr) - int64(tw.prevAddr)
-		tw.buf = binary.AppendVarint(tw.buf, delta)
 		tw.prevAddr = in.Addr
 	}
-	if in.Dep != 0 {
-		tw.buf = binary.AppendUvarint(tw.buf, uint64(in.Dep))
-	}
-	if in.Lat > 1 {
-		tw.buf = binary.AppendUvarint(tw.buf, uint64(in.Lat))
-	}
 	tw.count++
-	_, err := tw.w.Write(tw.buf)
+	_, err := tw.w.Write(tw.buf[:n])
 	return err
 }
 
@@ -132,7 +153,7 @@ func (tr *Reader) Read() (Instr, error) {
 		}
 		return Instr{}, fmt.Errorf("%w: %v", ErrBadTrace, err)
 	}
-	in := Instr{Kind: Kind(tag & 0x3), Lat: 1}
+	in := Instr{Kind: Kind(tag & tagKind), Lat: 1}
 	if in.Kind > Store {
 		return Instr{}, fmt.Errorf("%w: bad kind %d", ErrBadTrace, in.Kind)
 	}
@@ -144,14 +165,14 @@ func (tr *Reader) Read() (Instr, error) {
 		in.Addr = uint64(int64(tr.prevAddr) + delta)
 		tr.prevAddr = in.Addr
 	}
-	if tag&(1<<2) != 0 {
+	if tag&tagDep != 0 {
 		dep, err := binary.ReadUvarint(tr.r)
 		if err != nil {
 			return Instr{}, fmt.Errorf("%w: truncated dep", ErrBadTrace)
 		}
 		in.Dep = clampDep(dep)
 	}
-	if tag&(1<<3) != 0 {
+	if tag&tagLat != 0 {
 		lat, err := binary.ReadUvarint(tr.r)
 		if err != nil || lat == 0 || lat > 255 {
 			return Instr{}, fmt.Errorf("%w: bad latency", ErrBadTrace)

@@ -6,9 +6,13 @@ import (
 
 // Synthetic generates a deterministic instruction stream from a Profile.
 // It implements Generator. Create with NewSynthetic.
+//
+// A Synthetic holds its whole state by value (the RNG included), so a
+// plain struct copy is an independent generator that continues the same
+// stream from the same point.
 type Synthetic struct {
 	prof Profile
-	rng  *stats.RNG
+	rng  stats.RNG
 
 	// Samplers precomputed from the profile's constants (NewSynthetic),
 	// so the per-instruction path does no log/pow over fixed parameters.
@@ -61,7 +65,7 @@ func (g *Synthetic) Profile() Profile { return g.prof }
 
 // Reset implements Generator.
 func (g *Synthetic) Reset() {
-	g.rng = stats.NewRNG(g.prof.Seed ^ 0x15ecc0de ^ hashName(g.prof.Name))
+	g.rng.Reseed(g.prof.Seed ^ 0x15ecc0de ^ hashName(g.prof.Name))
 	g.idx = 0
 	g.seqCursor = 0
 	g.lastLoadAt = 0
@@ -84,7 +88,7 @@ func hashName(s string) uint64 {
 // memProbability returns the probability that the next instruction is a
 // memory access, accounting for burst phases.
 func (g *Synthetic) memProbability() float64 {
-	p := g.prof
+	p := &g.prof
 	if p.BurstLen == 0 || p.GapLen == 0 {
 		return p.MemFrac
 	}
@@ -111,11 +115,11 @@ func (g *Synthetic) memProbability() float64 {
 
 // Next implements Generator.
 func (g *Synthetic) Next() Instr {
-	p := g.prof
-	defer func() { g.idx++ }()
-
+	p := &g.prof
 	if !g.rng.Bool(g.memProbability()) {
-		return g.computeInstr()
+		in := g.computeInstr()
+		g.idx++
+		return in
 	}
 
 	in := Instr{Kind: Load, Lat: 1}
@@ -135,17 +139,18 @@ func (g *Synthetic) Next() Instr {
 		g.lastLoadAt = g.idx
 		g.haveLoad = true
 	}
+	g.idx++
 	return in
 }
 
 // computeInstr emits a non-memory instruction with a plausible dependency
 // distance and latency.
 func (g *Synthetic) computeInstr() Instr {
-	p := g.prof
+	p := &g.prof
 	in := Instr{Kind: Compute, Lat: 1}
 	if p.ExecLat > 1 {
 		// Latency is 1 + geometric tail with the configured mean.
-		extra := g.execLatG.Sample(g.rng)
+		extra := g.execLatG.Sample(&g.rng)
 		if extra > 30 {
 			extra = 30
 		}
@@ -153,7 +158,7 @@ func (g *Synthetic) computeInstr() Instr {
 	}
 	if p.DepDist > 0 && g.idx > 0 {
 		// Dependency distance ~ 1 + geometric with mean DepDist.
-		d := uint64(1 + g.depDistG.Sample(g.rng))
+		d := uint64(1 + g.depDistG.Sample(&g.rng))
 		if d > g.idx {
 			d = g.idx
 		}
@@ -164,7 +169,7 @@ func (g *Synthetic) computeInstr() Instr {
 
 // nextAddr draws the next memory address per the profile's locality mix.
 func (g *Synthetic) nextAddr() uint64 {
-	p := g.prof
+	p := &g.prof
 	if g.rng.Bool(p.SeqFrac) {
 		a := g.seqCursor
 		g.seqCursor = (g.seqCursor + p.Stride) % p.Footprint
@@ -174,7 +179,7 @@ func (g *Synthetic) nextAddr() uint64 {
 		// Hot region with mild Zipf skew over 64-byte blocks: hot enough
 		// to reward capacity that covers the region, flat enough that a
 		// fraction of the region is not a substitute for all of it.
-		b := g.hotZipf.Sample(g.rng)
+		b := g.hotZipf.Sample(&g.rng)
 		return uint64(b)*64 + g.rng.Uint64n(64)&^0x7
 	}
 	// Cold uniform access over the whole footprint, 8-byte aligned.

@@ -52,9 +52,10 @@ func SetWorkers(n int) { parallel.SetWorkers(n) }
 func ParallelWorkers() int { return parallel.Workers() }
 
 // ResetSimCaches drops every memoised simulation result (and zeroes the
-// memo hit/miss counters), forcing the next evaluations to re-simulate.
-// Benchmarks and determinism tests use it; ordinary callers never need
-// to.
+// memo hit/miss counters) and every recorded trace stream, forcing the
+// next evaluations to re-simulate from the same cold state a fresh
+// process starts in. Benchmarks and determinism tests use it; ordinary
+// callers never need to.
 func ResetSimCaches() { parallel.ResetAllMemos() }
 
 // Observability layer (see internal/obs and EXPERIMENTS.md
